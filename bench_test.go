@@ -527,6 +527,33 @@ func BenchmarkSnapshotEngine(b *testing.B) {
 	}
 }
 
+// BenchmarkSnapshotEngineMixed is the read-after-write shape a serving
+// engine sees: a few observes, then the snapshot a query handler takes, a
+// file lookup on it (building the file index) and the byte-size table
+// advice and filecule bodies read.
+func BenchmarkSnapshotEngineMixed(b *testing.B) {
+	t := benchRunner.Trace()
+	e := core.NewEngine(0)
+	e.ObserveTrace(t)
+	const observes = 4
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var j *trace.Job
+		for k := 0; k < observes; k++ {
+			j = &t.Jobs[(i*observes+k)%len(t.Jobs)]
+			e.Observe(j.Files)
+		}
+		p := e.Snapshot()
+		if len(j.Files) > 0 && p.FileculeOf(j.Files[0]) == nil {
+			b.Fatal("observed file in no filecule")
+		}
+		if len(p.SizeTable(t)) != p.NumFilecules() {
+			b.Fatal("size table does not cover the partition")
+		}
+	}
+}
+
 // --- serving hot path (internal/server handlers via httptest) ---
 
 // BenchmarkServerObserve measures job ingestion through the full HTTP

@@ -10,7 +10,9 @@ package core
 // of correctness for all of them.
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -220,6 +222,128 @@ func TestDifferentialPrefixAllIdentifiers(t *testing.T) {
 				t.Fatalf("seed %d prefix %d: Engine differs from batch", seed, i+1)
 			}
 			checkInvariants(t, &prefix, e.Snapshot())
+		}
+	}
+}
+
+// Engine reads checkEngineReads can run, as a bit mask.
+const (
+	readSnapshot uint8 = 1 << iota
+	readExport
+	readLookup
+	readAll = readSnapshot | readExport | readLookup
+)
+
+// checkEngineReads runs the reads selected by mask against e and requires
+// each to agree exactly with want, batch identification over the same
+// observed prefix: the Snapshot (which must also Validate), the
+// ExportState (in canonical order, with the observed count) and FileculeOf
+// for every covered file and for one never observed.
+func checkEngineReads(e *Engine, want *Partition, observed int64, mask uint8) error {
+	if mask&readSnapshot != 0 {
+		p := e.Snapshot()
+		if err := p.Validate(); err != nil {
+			return fmt.Errorf("snapshot: %v", err)
+		}
+		if !want.Equal(p) {
+			return fmt.Errorf("snapshot differs from batch identification")
+		}
+	}
+	if mask&readExport != 0 {
+		st := e.ExportState()
+		if st.Observed != observed {
+			return fmt.Errorf("export: observed %d, want %d", st.Observed, observed)
+		}
+		fcs := make([]Filecule, len(st.Groups))
+		for i, g := range st.Groups {
+			if i > 0 && st.Groups[i-1].Files[0] >= g.Files[0] {
+				return fmt.Errorf("export: group %d out of canonical order", i)
+			}
+			fcs[i] = Filecule{Files: g.Files, Requests: g.Requests}
+		}
+		if !want.Equal(NewPartition(fcs)) {
+			return fmt.Errorf("export differs from batch identification")
+		}
+	}
+	if mask&readLookup != 0 {
+		p := e.Snapshot()
+		for i := range want.Filecules {
+			w := &want.Filecules[i]
+			for _, f := range w.Files {
+				fc := p.FileculeOf(f)
+				if fc == nil || fc.ID != i || fc.Requests != w.Requests || !slices.Equal(fc.Files, w.Files) {
+					return fmt.Errorf("FileculeOf(%d) = %+v, want %+v", f, fc, *w)
+				}
+			}
+		}
+		if fc := p.FileculeOf(1 << 20); fc != nil {
+			return fmt.Errorf("FileculeOf(unobserved) = %+v", fc)
+		}
+	}
+	return nil
+}
+
+// TestDifferentialInterleavedReads interleaves observes with Snapshot,
+// ExportState and FileculeOf at random points of the job stream — so dirty
+// blocks pile up across several observes between refreshes — and always
+// right after a split or a repeat of a cached input set (a fast-path hit).
+// Midway it recovers a second engine through ExportState/ImportState and
+// reads that one at random points too. Every read must equal batch
+// identification over the prefix exactly, and the counters must match it
+// after every job.
+func TestDifferentialInterleavedReads(t *testing.T) {
+	for _, seed := range []int64{5, 99, 123} {
+		rng := rand.New(rand.NewSource(seed))
+		// The trace, then a shuffled replay of it: the first pass splits
+		// heavily, the second re-requests whole filecules, mostly through
+		// the fast path.
+		tr := adversarialTrace(seed)
+		n := len(tr.Jobs)
+		for _, i := range rng.Perm(n) {
+			j := tr.Jobs[i]
+			j.ID = trace.JobID(len(tr.Jobs))
+			tr.Jobs = append(tr.Jobs, j)
+		}
+		cut := n/2 + rng.Intn(n)
+		e, recovered := NewEngine(4), (*Engine)(nil)
+		ids := make([]trace.JobID, 0, len(tr.Jobs))
+		for k := range tr.Jobs {
+			files := tr.Jobs[k].Files
+			epoch := e.splitEpoch.Load()
+			_, cached := e.jobCache.Load(jobKey(files))
+			e.Observe(files)
+			if recovered != nil {
+				recovered.Observe(files)
+			}
+			ids = append(ids, trace.JobID(k))
+			want := IdentifyJobs(tr, ids)
+
+			mask := uint8(rng.Intn(8))
+			if mask == 0 && (cached || e.splitEpoch.Load() != epoch) {
+				mask = uint8(1 + rng.Intn(7))
+			}
+			for _, c := range []struct {
+				name string
+				e    *Engine
+				mask uint8
+			}{{"engine", e, mask}, {"recovered engine", recovered, uint8(rng.Intn(8))}} {
+				if c.e == nil {
+					continue
+				}
+				if c.e.NumFilecules() != want.NumFilecules() || c.e.NumFiles() != want.NumFiles() {
+					t.Fatalf("seed %d prefix %d: %s counters %d/%d, want %d/%d", seed, k+1, c.name,
+						c.e.NumFilecules(), c.e.NumFiles(), want.NumFilecules(), want.NumFiles())
+				}
+				if err := checkEngineReads(c.e, want, int64(k+1), c.mask); err != nil {
+					t.Fatalf("seed %d prefix %d: %s: %v", seed, k+1, c.name, err)
+				}
+			}
+			if k+1 == cut {
+				recovered = NewEngine(8)
+				if err := recovered.ImportState(e.ExportState()); err != nil {
+					t.Fatalf("seed %d: import at %d: %v", seed, cut, err)
+				}
+			}
 		}
 	}
 }

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"io"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -75,25 +76,28 @@ import (
 //
 // Fast-path observes run under the read side of a gate RWMutex and are
 // otherwise lock-free, so repeat jobs from many submitters proceed in
-// parallel. Slow (shape-changing) observes and snapshots take the write
-// side: a paper-scale job spans every shard anyway, so fine-grained shard
-// locks only add overhead — exclusivity costs nothing and makes signature
-// resolution and the pending-count flush trivially atomic. A snapshot never
-// sees a half-applied job.
+// parallel. Slow (shape-changing) observes take the write side, and so does
+// a snapshot while it reads block state: a paper-scale job spans every shard
+// anyway, so fine-grained shard locks only add overhead — exclusivity costs
+// nothing and makes signature resolution and the pending-count flush
+// trivially atomic. A snapshot never sees a half-applied job.
 //
 // # Copy-on-write snapshots
 //
-// Snapshot reuses, per signature group, the sorted member list materialized
-// by the previous snapshot unless one of the group's blocks changed since —
-// so a snapshot costs O(blocks) bookkeeping plus sorting only for changed
-// groups, instead of re-sorting and re-copying every file. The returned
-// Partition builds its file→filecule index lazily on first lookup.
+// The engine keeps one persistent group per live signature and the groups'
+// canonical order from the last refresh. A changed block goes on a dirty
+// list; a refresh walks only that list, moves blocks between groups and
+// re-materializes just the changed groups, then merges them into the kept
+// order: O(changed blocks + changed files · log + filecules), with the gate
+// held only while block state is read. The returned Partition builds its
+// flat file→filecule index lazily on first lookup.
 type Engine struct {
 	shards []engineShard
 	mask   uint32
 
 	// gate separates the lock-free repeat-job fast path (read side) from
-	// shape-changing slow observes and snapshot assembly (write side).
+	// shape-changing slow observes and snapshot reads of block state (write
+	// side).
 	gate sync.RWMutex
 
 	// jobCache maps jobKey(files) -> *cachedJob for the repeat-job fast
@@ -123,11 +127,22 @@ type Engine struct {
 
 	scratchPool sync.Pool
 
-	// Snapshot assembly state: the copy-on-write group cache and the last
-	// assembled partition, all guarded by snapMu.
-	snapMu     sync.Mutex
-	snapGroups map[sig128]*snapGroup
-	snapCache  atomic.Pointer[snapState]
+	// files counts interned files, the files the partition covers. dirty
+	// lists the blocks changed since the last refresh, each once. Both are
+	// written only under the gate's write side, and sit here rather than
+	// beside the atomics every observe touches.
+	files atomic.Int64
+	dirty []cacheRef
+
+	// Snapshot assembly state, guarded by snapMu: the persistent groups by
+	// signature, their canonical order (with spare as the merge's double
+	// buffer), the refresh counter and the last assembled partition.
+	snapMu    sync.Mutex
+	groups    map[sig128]*snapGroup
+	order     []*snapGroup
+	spare     []*snapGroup
+	refreshes uint64
+	snapCache atomic.Pointer[snapState]
 }
 
 type snapState struct {
@@ -135,16 +150,19 @@ type snapState struct {
 	p       *Partition
 }
 
-// snapGroup is one materialized filecule: the sorted member files of every
-// block sharing a signature, built at most once per change. stamp records
-// the engine version the entry was materialized at; an unchanged group keeps
-// its stamp across refreshes, so (sig, stamp) identifies the group's bytes —
-// the key the durable checkpoint writer caches encoded chunks under.
+// snapGroup is one materialized filecule: the blocks sharing a signature and
+// their sorted member files, rebuilt only when one of the blocks changed.
+// stamp records the engine version the group was last materialized at; an
+// unchanged group keeps its stamp across refreshes, so (sig, stamp)
+// identifies the group's bytes — the key the durable checkpoint writer
+// caches encoded chunks under.
 type snapGroup struct {
-	files    []trace.FileID // sorted ascending; immutable once built
+	sig      sig128
+	refs     []cacheRef     // member blocks
+	files    []trace.FileID // sorted ascending; immutable once published
 	requests int
-	blocks   int    // contributing sub-blocks at build time
 	stamp    uint64 // engine version at materialization
+	mark     uint64 // refresh that last changed or dropped the group
 }
 
 // slotPageBits sizes the interning pages: 8K entries, 32 KiB each.
@@ -189,7 +207,11 @@ type eblock struct {
 	// resolveSigs); never stale-low, which keeps the whole-cover test
 	// sound.
 	gfiles int32
-	dirty  bool // changed since the last snapshot materialization
+	dirty  bool // changed since the last refresh; queued in Engine.dirty
+	// snapped says the block belongs to the group of snapSig, the
+	// signature it was last materialized under.
+	snapped bool
+	snapSig sig128
 }
 
 // sig128 is a commutative job-set signature (see Engine doc).
@@ -419,9 +441,9 @@ func NewEngine(shards int) *Engine {
 		p <<= 1
 	}
 	e := &Engine{
-		shards:     make([]engineShard, p),
-		mask:       uint32(p - 1),
-		snapGroups: make(map[sig128]*snapGroup),
+		shards: make([]engineShard, p),
+		mask:   uint32(p - 1),
+		groups: make(map[sig128]*snapGroup),
 	}
 	e.slots.Store(&slotDir{})
 	for i := range e.sigTab.stripes {
@@ -447,6 +469,10 @@ func (e *Engine) Observed() int64 { return e.observed.Load() }
 // signatures) in O(1), maintained incrementally by the striped refcount
 // table.
 func (e *Engine) NumFilecules() int { return int(e.filecules.Load()) }
+
+// NumFiles returns the number of files observed so far — the files the
+// partition covers — in O(1).
+func (e *Engine) NumFiles() int { return int(e.files.Load()) }
 
 // Blocks returns the raw sub-block count across shards. It exceeds
 // NumFilecules when a filecule's files span shards; the gap is a shard
@@ -581,15 +607,24 @@ func (e *Engine) flushPending() {
 	for i, cj := range e.pendJobs {
 		if n := int(cj.pending.Swap(0)); n > 0 {
 			for _, r := range cj.refs {
-				b := &e.shards[r.sh].blocks[r.bi]
-				b.requests += n
-				b.dirty = true
+				e.shards[r.sh].blocks[r.bi].requests += n
+				e.markDirty(r.sh, r.bi)
 			}
 		}
 		e.pendJobs[i] = nil
 	}
 	e.pendJobs = e.pendJobs[:0]
 	e.pendMu.Unlock()
+}
+
+// markDirty queues block bi of shard sh for the next refresh unless it is
+// queued already. Caller holds the gate's write side (or owns the engine
+// exclusively, as ImportState does).
+func (e *Engine) markDirty(sh uint32, bi int32) {
+	if b := &e.shards[sh].blocks[bi]; !b.dirty {
+		b.dirty = true
+		e.dirty = append(e.dirty, cacheRef{sh: sh, bi: bi})
+	}
 }
 
 // observeSlow applies one non-empty job under the gate's write side and
@@ -722,7 +757,7 @@ func (e *Engine) observeShard(s *engineShard, sh uint32, g uint64, files []trace
 			sc.deltas[di].wholeFiles += b.hi - b.lo
 			sc.wholeRefs = append(sc.wholeRefs, blockRef{sh: sh, bi: bi, di: di})
 			b.requests++
-			b.dirty = true
+			e.markDirty(sh, bi)
 			continue
 		}
 		// Split: the moved prefix perm[lo:mark] leaves b as a new block
@@ -734,16 +769,16 @@ func (e *Engine) observeShard(s *engineShard, sh uint32, g uint64, files []trace
 			hi:       b.mark,
 			requests: b.requests + 1,
 			sig:      b.sig.addJob(g),
-			dirty:    true,
 		}
 		nbIdx := int32(len(s.blocks))
 		for i := nb.lo; i < nb.hi; i++ {
 			s.blockOf[s.perm[i]] = nbIdx
 		}
 		b.lo = b.mark
-		b.dirty = true
+		e.markDirty(sh, bi)
 		// b may dangle after the append; no use of it beyond this point.
 		s.blocks = append(s.blocks, nb)
+		e.markDirty(sh, nbIdx)
 		e.blocks.Add(1)
 		sc.splitRefs = append(sc.splitRefs, blockRef{sh: sh, bi: nbIdx, di: di, rem: bi})
 	}
@@ -754,13 +789,13 @@ func (e *Engine) observeShard(s *engineShard, sh uint32, g uint64, files []trace
 			hi:       int32(len(s.perm)),
 			requests: 1,
 			sig:      sigOf(g),
-			dirty:    true,
 		}
 		nbIdx := int32(len(s.blocks))
 		for i := nb.lo; i < nb.hi; i++ {
 			s.blockOf[s.perm[i]] = nbIdx
 		}
 		s.blocks = append(s.blocks, nb)
+		e.markDirty(sh, nbIdx)
 		e.blocks.Add(1)
 		sc.freshRefs = append(sc.freshRefs, blockRef{sh: sh, bi: nbIdx})
 		sc.fresh += fresh
@@ -828,81 +863,101 @@ func (e *Engine) resolveSigs(g uint64, sc *observeScratch) {
 		if e.sigTab.add(sigOf(g), sc.fresh) {
 			e.filecules.Add(1)
 		}
+		e.files.Add(int64(sc.fresh))
 	}
 }
 
-// refreshGroups brings the copy-on-write group cache up to date and returns
-// it along with the engine counters it corresponds to. Caller holds snapMu.
-// The returned map and its snapGroup entries are immutable once returned
-// (rebuilds allocate fresh entries), so callers may walk them after the
-// engine resumes observing.
-func (e *Engine) refreshGroups() (map[sig128]*snapGroup, uint64, int64, uint64) {
-	// Drain in-flight observes; none can start until the gate drops.
-	e.gate.Lock()
-	v := e.version.Load()
-	observed := e.observed.Load()
-	nextGen := e.nextGen.Load()
-	// Fold deferred fast-path request counts in before assembling; they
-	// mark their blocks dirty so the affected groups re-materialize.
-	e.flushPending()
-
-	// Pass 1: group blocks by signature, noting dirtiness, and clear the
-	// dirty bits (every group is validated or rebuilt by this refresh).
-	type blockRef struct {
-		shard int32
-		block int32
-	}
-	type build struct {
-		refs  []blockRef
-		dirty bool
-	}
-	groups := make(map[sig128]*build, len(e.snapGroups))
-	for si := range e.shards {
-		s := &e.shards[si]
-		for bi := range s.blocks {
-			b := &s.blocks[bi]
-			gb := groups[b.sig]
-			if gb == nil {
-				gb = &build{}
-				groups[b.sig] = gb
-			}
-			gb.refs = append(gb.refs, blockRef{int32(si), int32(bi)})
-			if b.dirty {
-				gb.dirty = true
-				b.dirty = false
-			}
+// refresh brings the persistent signature groups and their canonical order
+// (e.order) up to date with the blocks and returns the engine counters they
+// correspond to. Caller holds snapMu. Published member slices are never
+// written again: a group whose membership changed gets a fresh one.
+func (e *Engine) refresh() (version uint64, observed int64, nextGen uint64) {
+	e.refreshes++
+	mark := e.refreshes
+	var changed, live []*snapGroup
+	var unsorted [][]trace.FileID
+	touch := func(g *snapGroup) {
+		if g.mark != mark {
+			g.mark = mark
+			changed = append(changed, g)
 		}
 	}
 
-	// Pass 2: materialize, reusing the previous refresh's entry whenever
-	// no contributing block changed and the group shape is intact.
-	next := make(map[sig128]*snapGroup, len(groups))
-	for sig, gb := range groups {
-		entry := e.snapGroups[sig]
-		if gb.dirty || entry == nil || entry.blocks != len(gb.refs) {
-			n := 0
-			for _, ref := range gb.refs {
-				b := &e.shards[ref.shard].blocks[ref.block]
+	// Hold the gate only while reading block state. Folding deferred
+	// fast-path counts in marks their blocks dirty.
+	e.gate.Lock()
+	version, observed, nextGen = e.version.Load(), e.observed.Load(), e.nextGen.Load()
+	e.flushPending()
+	for _, r := range e.dirty {
+		b := &e.shards[r.sh].blocks[r.bi]
+		b.dirty = false
+		moved := !b.snapped || b.snapSig != b.sig
+		if b.snapped && moved {
+			touch(e.groups[b.snapSig]) // loses b: its refs are filtered below
+		}
+		g := e.groups[b.sig]
+		if g == nil {
+			g = &snapGroup{sig: b.sig}
+			e.groups[b.sig] = g
+		}
+		if moved {
+			g.refs = append(g.refs, r)
+			g.files = nil // membership changed: rebuild
+		}
+		touch(g)
+		b.snapped, b.snapSig = true, b.sig
+	}
+	e.dirty = e.dirty[:0]
+	for _, g := range changed {
+		refs, n := g.refs[:0], 0
+		for _, r := range g.refs {
+			if b := &e.shards[r.sh].blocks[r.bi]; b.snapSig == g.sig {
+				refs = append(refs, r)
 				n += int(b.hi - b.lo)
+				g.requests = b.requests
 			}
+		}
+		if len(refs) == 0 {
+			delete(e.groups, g.sig)
+			continue
+		}
+		// Blocks only ever lose files, so with no block joined or left an
+		// unchanged file count means unchanged membership.
+		if g.files == nil || len(refs) != len(g.refs) || n != len(g.files) {
 			files := make([]trace.FileID, 0, n)
-			requests := 0
-			for _, ref := range gb.refs {
-				s := &e.shards[ref.shard]
-				b := &s.blocks[ref.block]
-				requests = b.requests
+			for _, r := range refs {
+				s := &e.shards[r.sh]
+				b := &s.blocks[r.bi]
 				for i := b.lo; i < b.hi; i++ {
 					files = append(files, s.file[s.perm[i]])
 				}
 			}
-			sort.Slice(files, func(a, b int) bool { return files[a] < files[b] })
-			entry = &snapGroup{files: files, requests: requests, blocks: len(gb.refs), stamp: v}
+			g.files = files
+			unsorted = append(unsorted, files)
 		}
-		next[sig] = entry
+		g.refs, g.stamp = refs, version
+		live = append(live, g)
 	}
-	e.snapGroups = next
 	e.gate.Unlock()
-	return next, v, observed, nextGen
+
+	for _, files := range unsorted {
+		slices.Sort(files)
+	}
+	slices.SortFunc(live, func(a, b *snapGroup) int { return cmp.Compare(a.files[0], b.files[0]) })
+	// Merge the untouched groups, still in canonical order, with the
+	// changed ones; dropped and changed groups carry this refresh's mark.
+	next, i := e.spare[:0], 0
+	for _, g := range e.order {
+		if g.mark == mark {
+			continue
+		}
+		for ; i < len(live) && live[i].files[0] < g.files[0]; i++ {
+			next = append(next, live[i])
+		}
+		next = append(next, g)
+	}
+	e.spare, e.order = e.order[:0], append(next, live[i:]...)
+	return version, observed, nextGen
 }
 
 // Snapshot returns a consistent canonical Partition of everything observed
@@ -918,21 +973,12 @@ func (e *Engine) Snapshot() *Partition {
 	if c := e.snapCache.Load(); c != nil && c.version == e.version.Load() {
 		return c.p
 	}
-	groups, v, _, _ := e.refreshGroups()
-	fcs := make([]Filecule, 0, len(groups))
-	total := 0
-	for _, entry := range groups {
-		fcs = append(fcs, Filecule{Files: entry.files, Requests: entry.requests})
-		total += len(entry.files)
+	v, _, _ := e.refresh()
+	p := &Partition{Filecules: make([]Filecule, len(e.order))}
+	for i, g := range e.order {
+		p.Filecules[i] = Filecule{ID: i, Files: g.files, Requests: g.requests}
+		p.nFiles += len(g.files)
 	}
-
-	// Canonical order: by smallest member file. IDs follow; the file index
-	// is built lazily on first lookup.
-	sort.Slice(fcs, func(a, b int) bool { return fcs[a].Files[0] < fcs[b].Files[0] })
-	for i := range fcs {
-		fcs[i].ID = i
-	}
-	p := &Partition{Filecules: fcs, nFiles: total}
 	e.snapCache.Store(&snapState{version: v, p: p})
 	return p
 }

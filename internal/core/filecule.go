@@ -20,8 +20,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,13 +50,11 @@ func (f *Filecule) NumFiles() int { return len(f.Files) }
 // a trace. Files never requested by any job belong to no filecule.
 type Partition struct {
 	Filecules []Filecule
-	// byFile is the eager file index filled by canonicalize. Partitions
-	// assembled by the Engine leave it nil and build lazyIdx on first
-	// lookup instead, so snapshots cost O(changed blocks), not O(files).
-	byFile map[trace.FileID]int
-	// nFiles is the covered-file count when byFile is nil.
-	nFiles  int
-	lazyIdx atomic.Pointer[map[trace.FileID]int]
+	// nFiles is the number of files the filecules cover.
+	nFiles int
+	// idx is the file→filecule index, built on first lookup so assembling
+	// a partition costs no per-file work until someone asks.
+	idx atomic.Pointer[fileIndex]
 
 	// sizeMu guards the per-catalog byte-size table cached by SizeTable.
 	sizeMu  sync.Mutex
@@ -70,40 +70,51 @@ func (p *Partition) NumFilecules() int { return len(p.Filecules) }
 // disjoint (Validate checks both); IDs are assigned by canonical order, so
 // callers need not set them.
 func NewPartition(fcs []Filecule) *Partition {
-	n := 0
-	for i := range fcs {
-		n += len(fcs[i].Files)
-	}
-	p := &Partition{Filecules: fcs, byFile: make(map[trace.FileID]int, n)}
+	p := &Partition{Filecules: fcs}
 	p.canonicalize()
 	return p
 }
 
-// index returns the file→filecule map, building it on first use for
-// lazily-indexed partitions. Safe for concurrent use: racing builders
-// produce identical maps and one wins the CompareAndSwap.
-func (p *Partition) index() map[trace.FileID]int {
-	if p.byFile != nil {
-		return p.byFile
+// fileIndex is a flat file→filecule table: entry f holds 1 + the index of
+// the filecule containing f (0 = not covered). It is paged like the
+// engine's slot table, so memory follows the ID pages the partition
+// actually uses, even for sparse IDs.
+type fileIndex struct {
+	pages []*slotPage
+}
+
+// index returns the file→filecule table, building it on first use with
+// plain stores. Safe for concurrent use: racing builders produce identical
+// tables and one wins the CompareAndSwap.
+func (p *Partition) index() *fileIndex {
+	if x := p.idx.Load(); x != nil {
+		return x
 	}
-	if m := p.lazyIdx.Load(); m != nil {
-		return *m
-	}
-	m := make(map[trace.FileID]int, p.nFiles)
+	x := &fileIndex{}
 	for i := range p.Filecules {
 		for _, f := range p.Filecules[i].Files {
-			m[f] = i
+			pi := int(uint32(f) >> slotPageBits)
+			if pi >= len(x.pages) {
+				x.pages = append(x.pages, make([]*slotPage, pi+1-len(x.pages))...)
+			}
+			pg := x.pages[pi]
+			if pg == nil {
+				pg = new(slotPage)
+				x.pages[pi] = pg
+			}
+			pg[uint32(f)&slotPageMask] = int32(i + 1)
 		}
 	}
-	p.lazyIdx.CompareAndSwap(nil, &m)
-	return *p.lazyIdx.Load()
+	p.idx.CompareAndSwap(nil, x)
+	return p.idx.Load()
 }
 
 // Of returns the filecule index containing file f, or -1 if f was never
 // requested.
 func (p *Partition) Of(f trace.FileID) int {
-	if i, ok := p.index()[f]; ok {
-		return i
+	x := p.index()
+	if pi := uint32(f) >> slotPageBits; pi < uint32(len(x.pages)) && x.pages[pi] != nil {
+		return int(x.pages[pi][uint32(f)&slotPageMask]) - 1
 	}
 	return -1
 }
@@ -119,12 +130,7 @@ func (p *Partition) FileculeOf(f trace.FileID) *Filecule {
 }
 
 // NumFiles returns the total number of files covered by the partition.
-func (p *Partition) NumFiles() int {
-	if p.byFile != nil {
-		return len(p.byFile)
-	}
-	return p.nFiles
-}
+func (p *Partition) NumFiles() int { return p.nFiles }
 
 // Size returns the total byte size of filecule i given the trace's file
 // catalog. Files outside the catalog — possible when a partition merges
@@ -165,8 +171,7 @@ func (p *Partition) SizeTable(t *trace.Trace) []int64 {
 // Validate checks the structural invariants of the partition: dense IDs,
 // sorted non-empty member lists, disjointness, and file-index consistency.
 func (p *Partition) Validate() error {
-	idx := p.index()
-	seen := make(map[trace.FileID]int, len(idx))
+	seen := make(map[trace.FileID]int, p.nFiles)
 	for i := range p.Filecules {
 		fc := &p.Filecules[i]
 		if fc.ID != i {
@@ -186,15 +191,12 @@ func (p *Partition) Validate() error {
 				return fmt.Errorf("core: file %d in filecules %d and %d", f, prev, i)
 			}
 			seen[f] = i
-			if got := idx[f]; got != i {
+			if got := p.Of(f); got != i {
 				return fmt.Errorf("core: index[%d] = %d, want %d", f, got, i)
 			}
 		}
 	}
-	if len(seen) != len(idx) {
-		return fmt.Errorf("core: index has %d entries, filecules cover %d files", len(idx), len(seen))
-	}
-	if p.byFile == nil && p.nFiles != len(seen) {
+	if p.nFiles != len(seen) {
 		return fmt.Errorf("core: nFiles = %d, filecules cover %d files", p.nFiles, len(seen))
 	}
 	return nil
@@ -205,16 +207,16 @@ func (p *Partition) Validate() error {
 // identification algorithms return canonical partitions, so equal partitions
 // compare equal with Equal.
 func (p *Partition) canonicalize() {
-	sort.Slice(p.Filecules, func(a, b int) bool {
-		return p.Filecules[a].Files[0] < p.Filecules[b].Files[0]
-	})
+	slices.SortFunc(p.Filecules, byFirstFile)
+	p.nFiles = 0
 	for i := range p.Filecules {
 		p.Filecules[i].ID = i
-		for _, f := range p.Filecules[i].Files {
-			p.byFile[f] = i
-		}
+		p.nFiles += len(p.Filecules[i].Files)
 	}
 }
+
+// byFirstFile orders filecules canonically: by smallest member file.
+func byFirstFile(a, b Filecule) int { return cmp.Compare(a.Files[0], b.Files[0]) }
 
 // Equal reports whether two partitions decompose the same file population
 // into the same groups with the same request counts.
@@ -224,13 +226,8 @@ func (p *Partition) Equal(q *Partition) bool {
 	}
 	for i := range p.Filecules {
 		a, b := &p.Filecules[i], &q.Filecules[i]
-		if a.Requests != b.Requests || len(a.Files) != len(b.Files) {
+		if a.Requests != b.Requests || !slices.Equal(a.Files, b.Files) {
 			return false
-		}
-		for k := range a.Files {
-			if a.Files[k] != b.Files[k] {
-				return false
-			}
 		}
 	}
 	return true
@@ -299,7 +296,7 @@ func IdentifyJobs(t *trace.Trace, jobs []trace.JobID) *Partition {
 		groups[k] = append(groups[k], f)
 	}
 
-	p := &Partition{byFile: make(map[trace.FileID]int, len(jobLists))}
+	p := &Partition{}
 	for _, files := range groups {
 		sort.Slice(files, func(a, b int) bool { return files[a] < files[b] })
 		p.Filecules = append(p.Filecules, Filecule{

@@ -64,6 +64,9 @@ func (m *Monitor) Observed() int64 { return m.engine.Observed() }
 // NumFilecules returns the current exact filecule count in O(1).
 func (m *Monitor) NumFilecules() int { return m.engine.NumFilecules() }
 
+// NumFiles returns the number of files observed so far in O(1).
+func (m *Monitor) NumFiles() int { return m.engine.NumFiles() }
+
 // Shards returns the engine's shard count (a capacity diagnostic exposed by
 // serving layers).
 func (m *Monitor) Shards() int { return m.engine.Shards() }

@@ -78,10 +78,8 @@ func IdentifyParallel(t *trace.Trace, workers int) *Partition {
 
 	// Phase 3: merge shards; identical signatures unify across shards.
 	merged := make(map[string]*group)
-	total := 0
 	for _, groups := range shardGroups {
 		for k, g := range groups {
-			total += len(g.files)
 			if m, ok := merged[k]; ok {
 				m.files = append(m.files, g.files...)
 			} else {
@@ -90,7 +88,7 @@ func IdentifyParallel(t *trace.Trace, workers int) *Partition {
 		}
 	}
 
-	p := &Partition{byFile: make(map[trace.FileID]int, total)}
+	p := &Partition{}
 	for _, g := range merged {
 		sort.Slice(g.files, func(a, b int) bool { return g.files[a] < g.files[b] })
 		p.Filecules = append(p.Filecules, Filecule{Files: g.files, Requests: g.requests})

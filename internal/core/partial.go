@@ -183,7 +183,7 @@ func Combine(a, b *Partition) *Partition {
 		}
 	}
 
-	p := &Partition{byFile: make(map[trace.FileID]int, len(seen))}
+	p := &Partition{}
 	for k, files := range groups {
 		sort.Slice(files, func(x, y int) bool { return files[x] < files[y] })
 		p.Filecules = append(p.Filecules, Filecule{Files: files, Requests: reqs[k]})

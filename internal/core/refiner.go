@@ -146,7 +146,7 @@ func (r *Refiner) ObserveTrace(t *trace.Trace) {
 // Partition snapshots the current blocks as a canonical Partition. The
 // refiner remains usable afterwards.
 func (r *Refiner) Partition() *Partition {
-	p := &Partition{byFile: make(map[trace.FileID]int, len(r.byFile))}
+	p := &Partition{}
 	for _, b := range r.blocks {
 		files := append([]trace.FileID(nil), b.files...)
 		sort.Slice(files, func(a, c int) bool { return files[a] < files[c] })

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 
 	"filecule/internal/trace"
 )
@@ -50,32 +49,31 @@ func (st *EngineState) ChangedSince(version uint64) []StateGroup {
 	return out
 }
 
-// ExportState captures the engine's durable state. Like Snapshot it reuses
-// per-group materializations across calls, so a steady-state export costs
-// O(blocks) bookkeeping plus work only for groups that changed; the Files
-// slices are immutable and safe to retain after the engine resumes
-// observing. Groups whose Stamp is unchanged since a previous export are
-// byte-for-byte identical.
+// ExportState captures the engine's durable state. It shares Snapshot's
+// refresh and canonical group order, so an export costs work only for the
+// groups that changed plus one pass over the order; the Files slices are
+// immutable and safe to retain after the engine resumes observing. Groups
+// whose Stamp is unchanged since a previous export are byte-for-byte
+// identical and share their Files backing array.
 func (e *Engine) ExportState() *EngineState {
 	e.snapMu.Lock()
 	defer e.snapMu.Unlock()
-	groups, version, observed, nextGen := e.refreshGroups()
+	version, observed, nextGen := e.refresh()
 	st := &EngineState{
 		Observed: observed,
 		NextGen:  nextGen,
 		Version:  version,
-		Groups:   make([]StateGroup, 0, len(groups)),
+		Groups:   make([]StateGroup, len(e.order)),
 	}
-	for sig, entry := range groups {
-		st.Groups = append(st.Groups, StateGroup{
-			SigLo:    sig.lo,
-			SigHi:    sig.hi,
-			Requests: entry.requests,
-			Files:    entry.files,
-			Stamp:    entry.stamp,
-		})
+	for i, g := range e.order {
+		st.Groups[i] = StateGroup{
+			SigLo:    g.sig.lo,
+			SigHi:    g.sig.hi,
+			Requests: g.requests,
+			Files:    g.files,
+			Stamp:    g.stamp,
+		}
 	}
-	sort.Slice(st.Groups, func(a, b int) bool { return st.Groups[a].Files[0] < st.Groups[b].Files[0] })
 	return st
 }
 
@@ -156,13 +154,14 @@ func (e *Engine) ImportState(st *EngineState) error {
 				requests: g.Requests,
 				sig:      sig,
 				gfiles:   gfiles,
-				dirty:    true,
 			})
+			e.markDirty(sh, int32(len(s.blocks)-1))
 			e.blocks.Add(1)
 		}
 		if e.sigTab.add(sig, gfiles) {
 			e.filecules.Add(1)
 		}
+		e.files.Add(int64(gfiles))
 	}
 	e.observed.Store(st.Observed)
 	e.nextGen.Store(st.NextGen)

@@ -87,6 +87,41 @@ func TestStateExportReuse(t *testing.T) {
 	}
 }
 
+// A group untouched between two exports keeps its Stamp and shares its
+// Files backing array with the earlier export, while the groups an observe
+// split are re-stamped past the earlier export's version.
+func TestStateExportSharesUntouchedGroups(t *testing.T) {
+	e := NewEngine(4)
+	for _, job := range [][]trace.FileID{{1, 2}, {10, 11, 12}, {20}, {30, 31}} {
+		e.Observe(job)
+	}
+	a := e.ExportState()
+	e.Observe([]trace.FileID{11}) // splits {10,11,12}
+	e.Observe([]trace.FileID{20}) // re-requests {20} whole
+	b := e.ExportState()
+	byFirst := make(map[trace.FileID]StateGroup, len(a.Groups))
+	for _, g := range a.Groups {
+		byFirst[g.Files[0]] = g
+	}
+	for _, g := range b.Groups {
+		old, ok := byFirst[g.Files[0]]
+		switch g.Files[0] {
+		case 1, 30:
+			if !ok || old.Stamp != g.Stamp || &old.Files[0] != &g.Files[0] {
+				t.Errorf("untouched group %v: stamp %d -> %d, shared backing array %v",
+					g.Files, old.Stamp, g.Stamp, ok && &old.Files[0] == &g.Files[0])
+			}
+		default:
+			if g.Stamp <= a.Version {
+				t.Errorf("changed group %v kept stamp %d <= earlier export version %d", g.Files, g.Stamp, a.Version)
+			}
+		}
+	}
+	if got := len(b.ChangedSince(a.Version)); got != 3 {
+		t.Errorf("ChangedSince(earlier export) has %d groups, want 3 ({10,12}, {11}, {20})", got)
+	}
+}
+
 func TestImportStateRejectsBadState(t *testing.T) {
 	base := &EngineState{
 		Observed: 1,

@@ -101,6 +101,9 @@ func (g *LoadGen) ReplaySource(src trace.Source) (*LoadReport, error) {
 			MaxIdleConnsPerHost: clients * 2,
 		},
 	}
+	// Release the keep-alive connections on return, so the server's
+	// graceful shutdown does not wait on them.
+	defer hc.CloseIdleConnections()
 	if err := g.Shape.Validate(); err != nil {
 		return nil, err
 	}

@@ -209,6 +209,11 @@ func (s *Server) Fed() *fed.Node { return s.fedNode }
 // Run serves on l until ctx is cancelled, then drains in-flight requests
 // for at most Config.ShutdownGrace before returning. It returns nil on a
 // clean shutdown.
+//
+// Connections that never sent a request are closed as soon as draining
+// starts: http.Server.Shutdown counts such a connection as active for its
+// first 5 s, so a client that pre-dials would otherwise hold shutdown for
+// up to that long.
 func (s *Server) Run(ctx context.Context, l net.Listener) error {
 	if s.fedErr != nil {
 		l.Close()
@@ -218,11 +223,28 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 		s.fedNode.Start()
 		defer s.fedNode.Stop()
 	}
+	var (
+		connMu   sync.Mutex
+		unused   = make(map[net.Conn]struct{}) // connections still in StateNew
+		draining bool
+	)
 	hs := &http.Server{
 		Handler:      s.Handler(),
 		ReadTimeout:  orDefault(s.cfg.ReadTimeout, 30*time.Second),
 		WriteTimeout: orDefault(s.cfg.WriteTimeout, 60*time.Second),
 		IdleTimeout:  orDefault(s.cfg.IdleTimeout, 120*time.Second),
+		ConnState: func(c net.Conn, st http.ConnState) {
+			connMu.Lock()
+			defer connMu.Unlock()
+			switch {
+			case st != http.StateNew:
+				delete(unused, c)
+			case draining:
+				c.Close()
+			default:
+				unused[c] = struct{}{}
+			}
+		},
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(l) }()
@@ -230,6 +252,12 @@ func (s *Server) Run(ctx context.Context, l net.Listener) error {
 	case err := <-errc:
 		return err
 	case <-ctx.Done():
+		connMu.Lock()
+		draining = true
+		for c := range unused {
+			c.Close()
+		}
+		connMu.Unlock()
 		sctx, cancel := context.WithTimeout(context.Background(), orDefault(s.cfg.ShutdownGrace, 10*time.Second))
 		defer cancel()
 		if err := hs.Shutdown(sctx); err != nil {
@@ -684,14 +712,14 @@ func (s *Server) handleAdvise(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.metrics.WritePrometheus(w)
-	// Application-level gauges alongside the HTTP counters.
-	p := s.monitor.Snapshot()
+	// Application-level gauges alongside the HTTP counters, from the
+	// engine's O(1) counters: a scrape never assembles a snapshot.
 	fmt.Fprintf(w, "# TYPE filecule_jobs_observed_total counter\n")
 	fmt.Fprintf(w, "filecule_jobs_observed_total %d\n", s.monitor.Observed())
 	fmt.Fprintf(w, "# TYPE filecule_partition_filecules gauge\n")
-	fmt.Fprintf(w, "filecule_partition_filecules %d\n", p.NumFilecules())
+	fmt.Fprintf(w, "filecule_partition_filecules %d\n", s.monitor.NumFilecules())
 	fmt.Fprintf(w, "# TYPE filecule_partition_files gauge\n")
-	fmt.Fprintf(w, "filecule_partition_files %d\n", p.NumFiles())
+	fmt.Fprintf(w, "filecule_partition_files %d\n", s.monitor.NumFiles())
 	// Capacity gauges: how the observe path is laid out on this host, so
 	// throughput regressions are diagnosable from scrapes alone.
 	fmt.Fprintf(w, "# TYPE filecule_server_gomaxprocs gauge\n")

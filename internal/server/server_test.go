@@ -330,3 +330,26 @@ func TestPprofMounted(t *testing.T) {
 		t.Errorf("pprof served while disabled")
 	}
 }
+
+// TestMetricsPartitionGauges checks the partition gauges a scrape serves
+// from the engine's counters against the snapshot they must agree with,
+// after a split that a previously taken snapshot does not reflect.
+func TestMetricsPartitionGauges(t *testing.T) {
+	s, _ := testServer(t)
+	do(s, "POST", "/v1/jobs", `{"files":[1,2,3]}`)
+	stale := s.Monitor().Snapshot()
+	do(s, "POST", "/v1/jobs", `{"files":[1,7]}`)
+	body := do(s, "GET", "/metrics", "").Body.String()
+	p := s.Monitor().Snapshot()
+	if p.NumFilecules() == stale.NumFilecules() || p.NumFiles() == stale.NumFiles() {
+		t.Fatalf("test setup: second job did not change the partition")
+	}
+	for _, needle := range []string{
+		fmt.Sprintf("filecule_partition_filecules %d\n", p.NumFilecules()),
+		fmt.Sprintf("filecule_partition_files %d\n", p.NumFiles()),
+	} {
+		if !strings.Contains(body, needle) {
+			t.Errorf("/metrics missing %q\n%s", needle, body)
+		}
+	}
+}
